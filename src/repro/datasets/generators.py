@@ -15,12 +15,22 @@ preserve the structural properties the paper's analysis relies on:
   "superstar" hubs and randomised vertex ids (no id locality).
 
 All generators are pure functions of their parameters and the seed.
+
+Their output is pinned byte for byte by ``tests/test_datasets_golden.py``.
+A faster ``social_graph`` must draw the same ``random.Random`` stream: one
+``random()`` per emitter and per receiver draw, nothing more on a rejected
+attempt, and the same ``random()``/``choice()`` calls on an accepted one.
+A change that moves a hash is a new generator, not an optimisation.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_left
+from itertools import accumulate
+from typing import List, Tuple
+
+import numpy as np
 
 from ..core.graph import Graph
 from ..errors import DatasetError
@@ -84,26 +94,15 @@ def _powerlaw_weights(n: int, exponent: float, superstar_count: int, superstar_b
     return weights
 
 
-def _weighted_sampler(weights: List[float], rng: random.Random):
-    """Return a function sampling an index proportionally to ``weights``."""
-    cumulative = []
-    total = 0.0
-    for w in weights:
-        total += w
-        cumulative.append(total)
+def _cumulative_weights(weights: List[float]) -> Tuple[List[float], float]:
+    """Running sums and total of ``weights``, searched with ``bisect_left``.
 
-    def sample() -> int:
-        target = rng.random() * total
-        lo, hi = 0, len(cumulative) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cumulative[mid] < target:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    return sample
+    The last sum is made infinite, which clamps every search to the last index.
+    """
+    cumulative = list(accumulate(weights))
+    total = cumulative[-1]
+    cumulative[-1] = float("inf")
+    return cumulative, total
 
 
 def social_graph(
@@ -213,37 +212,38 @@ def social_graph(
 
     weights = _powerlaw_weights(main_vertices, exponent, superstar_count, superstar_boost)
     # Receivers must not be zero-in vertices; emitters must not be zero-out.
-    receiver_weights = [0.0 if i in zero_in_set else w for i, w in enumerate(weights)]
-    emitter_weights = [0.0 if i in zero_out_set else w for i, w in enumerate(weights)]
-    sample_receiver = _weighted_sampler(receiver_weights, rng)
-    sample_emitter = _weighted_sampler(emitter_weights, rng)
+    receiver_cumulative, receiver_total = _cumulative_weights(
+        [0.0 if i in zero_in_set else w for i, w in enumerate(weights)])
+    emitter_cumulative, emitter_total = _cumulative_weights(
+        [0.0 if i in zero_out_set else w for i, w in enumerate(weights)])
 
+    # Arc (u, v) is stored as u * num_vertices + v, which sorts like (u, v).
     arcs = set()
-    out_neighbours: Dict[int, List[int]] = {}
+    out_neighbours: List[List[int]] = [[] for _ in range(main_vertices)]
 
     def add_arc(u: int, v: int) -> bool:
-        if u == v or (u, v) in arcs:
+        key = u * num_vertices + v
+        if u == v or key in arcs or u in zero_out_set or v in zero_in_set:
             return False
-        if u in zero_out_set or v in zero_in_set:
-            return False
-        arcs.add((u, v))
-        out_neighbours.setdefault(u, []).append(v)
+        arcs.add(key)
+        out_neighbours[u].append(v)
         return True
 
-    max_attempts = num_edges * 20
-    attempts = 0
-    while len(arcs) < num_edges and attempts < max_attempts:
-        attempts += 1
-        u = sample_emitter()
-        v = sample_receiver()
-        if not add_arc(u, v):
+    # Most attempts are duplicates: reject them inline, drawing nothing more.
+    rand, choice, search = rng.random, rng.choice, bisect_left
+    for _ in range(num_edges * 20):
+        u = search(emitter_cumulative, rand() * emitter_total)
+        v = search(receiver_cumulative, rand() * receiver_total)
+        if u == v or u * num_vertices + v in arcs or not add_arc(u, v):
             continue
-        if rng.random() < reciprocity:
+        if rand() < reciprocity:
             add_arc(v, u)
-        if rng.random() < triadic_closure and out_neighbours.get(v):
-            w = rng.choice(out_neighbours[v])
-            if add_arc(u, w) and rng.random() < reciprocity:
+        if rand() < triadic_closure and out_neighbours[v]:
+            w = choice(out_neighbours[v])
+            if add_arc(u, w) and rand() < reciprocity:
                 add_arc(w, u)
+        if len(arcs) >= num_edges:
+            break
 
     # Stitch the main component together so that it is weakly connected.
     if connect:
@@ -266,18 +266,17 @@ def social_graph(
     for satellite in range(satellite_count):
         base = main_vertices + satellite * satellite_size
         for offset in range(satellite_size - 1):
-            arcs.add((base + offset, base + offset + 1))
+            arcs.add((base + offset) * num_vertices + base + offset + 1)
             if rng.random() < reciprocity:
-                arcs.add((base + offset + 1, base + offset))
+                arcs.add((base + offset + 1) * num_vertices + base + offset)
 
     # Optionally hide id locality behind a random permutation.
     permutation = list(range(num_vertices))
     if shuffle_ids:
         rng.shuffle(permutation)
 
-    ordered_arcs = sorted(arcs)
-    src = [permutation[u] for u, _ in ordered_arcs]
-    dst = [permutation[v] for _, v in ordered_arcs]
+    keys = np.sort(np.fromiter(arcs, dtype=np.int64, count=len(arcs)))
+    src, dst = np.asarray(permutation, dtype=np.int64)[np.stack(np.divmod(keys, num_vertices))]
     return Graph(src, dst, name=name)
 
 

@@ -1,9 +1,18 @@
 """Unit tests for the synthetic graph generators."""
 
+import math
+import random
+from bisect import bisect_left
+
 import pytest
 
 from repro.core import properties as props
-from repro.datasets.generators import ring_of_cliques, road_network, social_graph
+from repro.datasets.generators import (
+    _cumulative_weights,
+    ring_of_cliques,
+    road_network,
+    social_graph,
+)
 from repro.errors import DatasetError
 
 
@@ -137,6 +146,75 @@ class TestSocialGraph:
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(DatasetError):
             social_graph(seed=0, **kwargs)
+
+
+def _bisection_oracle(weights, target):
+    """The hand-written bisection ``social_graph`` sampled with originally.
+
+    Returns the first index whose running sum is >= ``target``, clamped to
+    the last index, with the running sums accumulated one weight at a time.
+    """
+    cumulative = []
+    total = 0.0
+    for w in weights:
+        total += w
+        cumulative.append(total)
+    lo, hi = 0, len(cumulative) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cumulative[mid] < target:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo, cumulative, total
+
+
+def _edge_case_weights():
+    rng = random.Random(13)
+    vectors = [
+        [1.0],
+        [0.0, 0.0, 3.5, 0.0, 0.0],  # a single positive weight
+        [2.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.25],
+        [1.0, 2.0, 3.0, 0.0, 0.0, 0.0],  # trailing zeros
+        [0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0],
+    ]
+    for _ in range(40):
+        # Power-law-like weights with zeroed plateaus, as the leaf roles make.
+        n = rng.randint(2, 300)
+        weights = [(i + 1) ** -rng.uniform(0.5, 1.2) for i in range(n)]
+        for _ in range(rng.randint(0, 6)):
+            start = rng.randrange(n)
+            for i in range(start, min(n, start + rng.randint(1, 40))):
+                weights[i] = 0.0
+        if rng.random() < 0.5:
+            trailing = rng.randint(1, max(1, n // 4))
+            weights[n - trailing:] = [0.0] * trailing
+        if any(weights):
+            vectors.append(weights)
+    return vectors
+
+
+class TestCumulativeSearch:
+    """``bisect_left`` over ``_cumulative_weights`` must pick what the old bisection picked."""
+
+    @pytest.mark.parametrize("weights", _edge_case_weights())
+    def test_matches_bisection_oracle(self, weights):
+        cumulative, total = _cumulative_weights(weights)
+        _, oracle_cumulative, oracle_total = _bisection_oracle(weights, 0.0)
+        assert total == oracle_total
+        assert cumulative[:-1] == oracle_cumulative[:-1]
+
+        rng = random.Random(len(weights))
+        targets = [0.0, math.nextafter(total, 0.0), total]
+        targets += oracle_cumulative  # every plateau and step boundary
+        targets += [math.nextafter(c, 0.0) for c in oracle_cumulative if c > 0.0]
+        targets += [rng.random() * total for _ in range(200)]
+        for target in targets:
+            index = bisect_left(cumulative, target)
+            assert index == _bisection_oracle(weights, target)[0], target
+            if 0.0 < target < total:
+                assert weights[index] > 0.0, (index, target)
 
 
 class TestRingOfCliques:
